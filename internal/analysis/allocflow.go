@@ -14,8 +14,8 @@ import (
 // it, interface dispatch included. Findings carry the full chain from
 // the root to the allocation site
 //
-//	hot path core.runList reaches an allocation:
-//	core.runList → obs.Observer.TaskQueued → obs.Timeline.TaskQueued →
+//	hot path core.listState.admit reaches an allocation:
+//	core.listState.admit → obs.Observer.TaskQueued → obs.Timeline.TaskQueued →
 //	append may grow the backing array
 //
 // so the fix target is named, not hunted. Justified exceptions use the

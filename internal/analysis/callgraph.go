@@ -78,7 +78,7 @@ type Node struct {
 	// Lit is the literal for closure nodes; nil for declared functions.
 	Lit *ast.FuncLit
 	// Name is the stable display name used in chains and dumps:
-	// "core.runList", "sim.Kernel.StartTimed", "core.runList$1".
+	// "core.Drive", "sim.Kernel.StartTimed", "runtime.Run$6".
 	Name string
 	// Pkg is the package the node's body lives in.
 	Pkg *Package

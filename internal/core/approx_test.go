@@ -1,12 +1,14 @@
-package core
+package core_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/workloads"
 )
 
 // theoremBound returns the proven approximation ratio of HeteroPrio for the
@@ -14,9 +16,9 @@ import (
 func theoremBound(pl platform.Platform) float64 {
 	switch {
 	case pl.CPUs == 1 && pl.GPUs == 1:
-		return phi // Theorem 7
+		return workloads.Phi // Theorem 7
 	case pl.GPUs == 1:
-		return 1 + phi // Theorem 9
+		return 1 + workloads.Phi // Theorem 9
 	default:
 		return 2 + math.Sqrt2 // Theorem 12
 	}
@@ -51,7 +53,7 @@ func TestApproximationBoundsRandom(t *testing.T) {
 				accel := math.Exp(rng.Float64()*6 - 2) // ~[0.13, 55]
 				in = append(in, platform.Task{ID: i, CPUTime: p, GPUTime: p / accel})
 			}
-			res, err := ScheduleIndependent(in, pl, Options{})
+			res, err := core.ScheduleIndependent(in, pl, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +102,7 @@ func TestLemma3Corollary(t *testing.T) {
 			continue
 		}
 		checked++
-		res, err := ScheduleIndependent(in, pl, Options{})
+		res, err := core.ScheduleIndependent(in, pl, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,8 +116,8 @@ func FuzzHeteroPrioInvariants(f *testing.F) {
 		if err := res.Schedule.Validate(in, nil); err != nil {
 			t.Fatalf("invalid schedule: %v", err)
 		}
-		if res.Makespan() > res.NoSpoliation.Makespan()+1e-9 {
-			t.Fatalf("spoliation worsened makespan %v -> %v", res.NoSpoliation.Makespan(), res.Makespan())
+		if ns := noSpoliation(t, in, pl).Makespan(); res.Makespan() > ns+1e-9 {
+			t.Fatalf("spoliation worsened makespan %v -> %v", ns, res.Makespan())
 		}
 		ab, err := bounds.AreaBound(in, pl)
 		if err != nil {

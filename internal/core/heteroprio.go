@@ -23,7 +23,7 @@
 package core
 
 import (
-	"math"
+	"errors"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -85,11 +85,6 @@ func (o Options) eps() float64 {
 type Result struct {
 	// Schedule is the final schedule S_HP, including aborted runs.
 	Schedule *sim.Schedule
-	// NoSpoliation is S_HP^NS, the list schedule the algorithm would build
-	// with spoliation disabled. It is computed alongside the main run for
-	// independent instances (the paper's analysis object) and nil for DAG
-	// runs.
-	NoSpoliation *sim.Schedule
 	// TFirstIdle is the first time any worker was idle while unfinished
 	// tasks remained; +Inf if no worker was ever idle before the end.
 	TFirstIdle float64
@@ -177,28 +172,27 @@ func (q *Queue) PopBack() platform.Task {
 	return t
 }
 
+// Pick is Algorithm 1's queue-end take, making *Queue the HeteroPrio
+// Policy: an idle GPU takes the front (highest acceleration factor), an
+// idle CPU the back. ok is false on an empty queue. The real-time
+// executor (package runtime) takes from its queue the same way.
+//
+//hplint:hotpath
+func (q *Queue) Pick(_ int, kind platform.Kind) (platform.Task, bool) {
+	if len(q.items) == 0 {
+		return platform.Task{}, false
+	}
+	if kind == platform.GPU {
+		return q.PopFront(), true
+	}
+	return q.PopBack(), true
+}
+
 // ScheduleIndependent runs HeteroPrio (Algorithm 1) on a set of independent
-// tasks. The returned Result contains both S_HP and S_HP^NS.
+// tasks. S_HP^NS, the paper's analysis object, is the same call with
+// DisableSpoliation set.
 func ScheduleIndependent(in platform.Instance, pl platform.Platform, opt Options) (Result, error) {
-	if err := pl.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	res := runList(in, nil, pl, opt)
-	if !opt.DisableSpoliation {
-		nsOpt := opt
-		nsOpt.DisableSpoliation = true
-		// The S_HP^NS shadow run is an analysis object, not a live run:
-		// it must not double-emit events.
-		nsOpt.Observer = nil
-		ns := runList(in, nil, pl, nsOpt)
-		res.NoSpoliation = ns.Schedule
-	} else {
-		res.NoSpoliation = res.Schedule
-	}
-	return res, nil
+	return Drive(Arrivals{Tasks: in}, pl, NewQueue(opt.UsePriorities), opt)
 }
 
 // ScheduleDAG runs the DAG variant of HeteroPrio: at any instant the
@@ -206,275 +200,8 @@ func ScheduleIndependent(in platform.Instance, pl platform.Platform, opt Options
 // ready tasks, and spoliation is attempted when an idle worker finds the
 // queue empty.
 func ScheduleDAG(g *dag.Graph, pl platform.Platform, opt Options) (Result, error) {
-	if err := pl.Validate(); err != nil {
-		return Result{}, err
+	if g == nil {
+		return Result{}, errors.New("core: nil graph")
 	}
-	if err := g.Validate(); err != nil {
-		return Result{}, err
-	}
-	return runList(nil, g, pl, opt), nil
-}
-
-// kindOrder is the class service order of a decision round: GPUs first,
-// then CPUs (a CPU must never steal a high-affinity task from a GPU that
-// frees up at the same instant). Package-level so the loop does not
-// rebuild the slice every round.
-var kindOrder = [platform.NumKinds]platform.Kind{platform.GPU, platform.CPU}
-
-// listState is one runList execution: the event-loop methods below are
-// the scheduling hot path (annotated //hplint:hotpath; the allocflow
-// analyzer proves every decision round allocation-free, modulo the
-// justified allows at amortized-growth sites). Construction and setup
-// stay in runList, outside the contract.
-type listState struct {
-	k   *sim.Kernel
-	q   *Queue
-	pl  platform.Platform
-	opt Options
-	o   obs.Observer
-	eps float64
-
-	g  *dag.Graph
-	rt *dag.ReadyTracker
-	// classReady[id][k] is the earliest instant task id may start on class
-	// k once ready (predecessor completion plus transfer delay when the
-	// predecessor ran on the other class). Only tracked with a transfer
-	// delay configured.
-	classReady [][platform.NumKinds]float64
-
-	remaining   int
-	tFirstIdle  float64
-	spoliations int
-}
-
-// startDuration returns the actual occupation time of a run: the
-// execution duration plus any transfer wait the worker blocks on.
-//
-//hplint:hotpath
-func (s *listState) startDuration(t platform.Task, kind platform.Kind) float64 {
-	d := s.opt.actual(t, kind)
-	if s.classReady != nil {
-		if wait := s.classReady[t.ID][kind] - s.k.Now; wait > 0 {
-			d += wait
-		}
-	}
-	return d
-}
-
-// victimBefore orders spoliation candidates: decreasing expected
-// completion time, ties by higher priority, then by smaller task ID
-// (deterministic, and the lever used by the adversarial worst-case
-// instances).
-func victimBefore(a, b sim.Running) bool {
-	if a.EstEnd != b.EstEnd {
-		return a.EstEnd > b.EstEnd
-	}
-	if a.Task.Priority != b.Task.Priority {
-		return a.Task.Priority > b.Task.Priority
-	}
-	return a.Task.ID < b.Task.ID
-}
-
-// sortVictims is an in-place insertion sort. The candidate set is small
-// (at most the worker count of one class) and sort.Slice would box the
-// slice and build a reflect-based swapper on every call — a measured 25%
-// of the event loop's allocations before this existed.
-func sortVictims(v []sim.Running) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && victimBefore(v[j], v[j-1]); j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-// trySpoliate attempts a spoliation for idle worker w (queue known
-// empty). Returns true if a task was restarted on w.
-//
-//hplint:hotpath
-func (s *listState) trySpoliate(w int) bool {
-	kind := s.pl.KindOf(w)
-	victims := s.k.RunningOnShared(kind.Other())
-	if len(victims) == 0 {
-		return false
-	}
-	// Decisions use EstEnd, the completion time the scheduler believes
-	// in: with perfect estimates it equals the true End; under
-	// estimation noise the true End is not observable. The shared victim
-	// buffer is the kernel's scratch; sorting it in place is sanctioned.
-	sortVictims(victims)
-	for _, v := range victims {
-		newEnd := s.k.Now + v.Task.Time(kind)
-		if newEnd < v.EstEnd-s.eps {
-			s.k.Abort(v.Worker)
-			s.k.StartTimed(w, v.Task, s.startDuration(v.Task, kind), true)
-			s.spoliations++
-			if s.o != nil {
-				s.o.TaskSpoliated(s.k.Now, v.Worker, w, v.Task, s.k.Now-v.Start)
-				s.o.TaskStarted(s.k.Now, w, kind, v.Task, newEnd, true)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// assign fills idle workers from the queue and, once the queue is
-// exhausted, attempts spoliations until no more progress is possible.
-//
-//hplint:hotpath
-func (s *listState) assign() {
-	for {
-		changed := false
-		for _, w := range s.k.IdleWorkersShared(platform.GPU) {
-			if s.q.Len() == 0 {
-				break
-			}
-			t := s.q.PopFront()
-			s.k.StartTimed(w, t, s.startDuration(t, platform.GPU), false)
-			changed = true
-			if s.o != nil {
-				s.o.TaskStarted(s.k.Now, w, platform.GPU, t, s.k.Now+t.Time(platform.GPU), false)
-			}
-		}
-		for _, w := range s.k.IdleWorkersShared(platform.CPU) {
-			if s.q.Len() == 0 {
-				break
-			}
-			t := s.q.PopBack()
-			s.k.StartTimed(w, t, s.startDuration(t, platform.CPU), false)
-			changed = true
-			if s.o != nil {
-				s.o.TaskStarted(s.k.Now, w, platform.CPU, t, s.k.Now+t.Time(platform.CPU), false)
-			}
-		}
-		if s.q.Len() == 0 && !s.opt.DisableSpoliation {
-			for _, kind := range kindOrder {
-				for _, w := range s.k.IdleWorkersShared(kind) {
-					if s.trySpoliate(w) {
-						changed = true
-					}
-				}
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// complete retires one finished run: completion event, transfer-delay
-// bookkeeping, and queueing of newly ready successors.
-//
-//hplint:hotpath
-func (s *listState) complete(run sim.Running) {
-	s.remaining--
-	if s.o != nil {
-		s.o.TaskCompleted(s.k.Now, run.Worker, s.pl.KindOf(run.Worker), run.Task, run.Start)
-	}
-	if s.rt != nil {
-		if s.classReady != nil {
-			kind := s.pl.KindOf(run.Worker)
-			for _, succ := range s.g.Succs(run.Task.ID) {
-				if run.End > s.classReady[succ][kind] {
-					s.classReady[succ][kind] = run.End
-				}
-				if other := kind.Other(); run.End+s.opt.TransferDelay > s.classReady[succ][other] {
-					s.classReady[succ][other] = run.End + s.opt.TransferDelay
-				}
-			}
-		}
-		s.rt.Complete(run.Task.ID)
-		for _, id := range s.rt.DrainShared() {
-			t := s.g.Task(id)
-			s.q.Push(t)
-			if s.o != nil {
-				s.o.TaskQueued(s.k.Now, t, s.q.Len())
-			}
-		}
-	}
-}
-
-// loop is the event loop proper: assign, observe, advance to the next
-// completion, drain same-instant completions, repeat.
-//
-//hplint:hotpath
-func (s *listState) loop() {
-	for {
-		s.assign()
-		if s.remaining > 0 && s.k.NumBusy() < s.pl.Workers() && s.k.Now < s.tFirstIdle {
-			s.tFirstIdle = s.k.Now
-		}
-		if s.o != nil && s.remaining > 0 {
-			s.o.QueueDepthSample(s.k.Now, s.q.Len())
-			for w := 0; w < s.pl.Workers(); w++ {
-				if !s.k.Busy(w) {
-					s.o.WorkerIdle(s.k.Now, w, s.pl.KindOf(w))
-				}
-			}
-		}
-		run, ok := s.k.CompleteNext()
-		if !ok {
-			return
-		}
-		s.complete(run)
-		// Drain every completion with the same timestamp before letting the
-		// policy reassign: all workers that become idle at this instant must
-		// see the same queue, with GPUs served first (otherwise a CPU could
-		// steal a high-affinity task from a GPU that frees up at the very
-		// same time).
-		//hplint:allow floateq completions at one instant carry the same stored float; the exact same-timestamp drain is intended
-		for s.k.NextCompletion() == s.k.Now {
-			run, ok = s.k.CompleteNext()
-			if !ok {
-				break
-			}
-			s.complete(run)
-		}
-	}
-}
-
-// runList is the shared event loop driver. Exactly one of in (independent
-// mode) and g (DAG mode) is non-nil. Setup (kernel, queue fill, tracker)
-// happens here, outside the hot-path contract; the per-decision work
-// lives in the listState methods above.
-func runList(in platform.Instance, g *dag.Graph, pl platform.Platform, opt Options) Result {
-	s := &listState{
-		k:          sim.NewKernel(pl),
-		q:          NewQueue(opt.UsePriorities),
-		pl:         pl,
-		opt:        opt,
-		o:          opt.Observer,
-		eps:        opt.eps(),
-		g:          g,
-		tFirstIdle: math.Inf(1),
-	}
-	if g != nil {
-		s.rt = dag.NewReadyTracker(g)
-		s.remaining = g.Len()
-		if opt.TransferDelay > 0 {
-			s.classReady = make([][platform.NumKinds]float64, g.Len())
-		}
-		for _, id := range s.rt.DrainShared() {
-			t := g.Task(id)
-			s.q.Push(t)
-			if s.o != nil {
-				s.o.TaskQueued(s.k.Now, t, s.q.Len())
-			}
-		}
-	} else {
-		s.remaining = len(in)
-		// Stable order: queue stability reproduces the paper's tie cases.
-		for _, t := range in {
-			s.q.Push(t)
-			if s.o != nil {
-				s.o.TaskQueued(s.k.Now, t, s.q.Len())
-			}
-		}
-	}
-	s.loop()
-	return Result{
-		Schedule:    s.k.Schedule(),
-		TFirstIdle:  s.tFirstIdle,
-		Spoliations: s.spoliations,
-	}
+	return Drive(Arrivals{Graph: g}, pl, NewQueue(opt.UsePriorities), opt)
 }

@@ -17,6 +17,17 @@ func task(id int, p, q float64) platform.Task {
 	return platform.Task{ID: id, CPUTime: p, GPUTime: q}
 }
 
+// noSpoliation returns S_HP^NS, the list schedule HeteroPrio builds on in
+// with spoliation disabled: the analysis object of Section 4.
+func noSpoliation(t testing.TB, in platform.Instance, pl platform.Platform) *sim.Schedule {
+	t.Helper()
+	res, err := ScheduleIndependent(in, pl, Options{DisableSpoliation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Schedule
+}
+
 func TestQueueOrdering(t *testing.T) {
 	q := NewQueue(false)
 	q.Push(task(0, 1, 1)) // rho 1
@@ -127,7 +138,7 @@ func TestSpoliationImprovesMakespan(t *testing.T) {
 	if res.Spoliations != 1 {
 		t.Errorf("spoliations = %d, want 1", res.Spoliations)
 	}
-	if ns := res.NoSpoliation.Makespan(); math.Abs(ns-10) > 1e-9 {
+	if ns := noSpoliation(t, in, pl).Makespan(); math.Abs(ns-10) > 1e-9 {
 		t.Errorf("S_HP^NS makespan = %v, want 10", ns)
 	}
 	if res.TFirstIdle != 1 {
@@ -154,9 +165,6 @@ func TestAblationSpoliationUnboundedGap(t *testing.T) {
 	}
 	if math.Abs(without.Makespan()-M) > 1e-9 {
 		t.Errorf("without spoliation makespan = %v, want %v", without.Makespan(), M)
-	}
-	if without.NoSpoliation != without.Schedule {
-		t.Error("disabled spoliation should reuse the same schedule as NS")
 	}
 }
 
@@ -234,14 +242,15 @@ func TestRandomIndependentInvariants(t *testing.T) {
 		if err := res.Schedule.Validate(in, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := res.NoSpoliation.Validate(in, nil); err != nil {
+		ns := noSpoliation(t, in, pl)
+		if err := ns.Validate(in, nil); err != nil {
 			t.Fatalf("trial %d NS: %v", trial, err)
 		}
 		checkSpoliationLemmas(t, res.Schedule)
 		// Spoliation can only help.
-		if res.Makespan() > res.NoSpoliation.Makespan()+1e-9 {
+		if res.Makespan() > ns.Makespan()+1e-9 {
 			t.Fatalf("trial %d: spoliation worsened makespan %v -> %v",
-				trial, res.NoSpoliation.Makespan(), res.Makespan())
+				trial, ns.Makespan(), res.Makespan())
 		}
 		// Lemma 3 corollary: T_FirstIdle <= AreaBound(I).
 		ab, err := bounds.AreaBound(in, pl)

@@ -3,35 +3,47 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/platform"
 )
 
+// TestScheduleOnlineNoReleasesMatchesIndependent: with every release at
+// zero the online entry point must build exactly the offline schedule.
+// The second case has two spoliation victims with the same expected end;
+// the higher-priority one (task 1) must be aborted in both modes.
 func TestScheduleOnlineNoReleasesMatchesIndependent(t *testing.T) {
-	in := platform.Instance{
-		task(0, 10, 1),
-		task(1, 10, 2),
-		task(2, 1, 5),
+	tie1 := task(1, 10, 6)
+	tie1.Priority = 5
+	cases := []struct {
+		name string
+		in   platform.Instance
+		pl   platform.Platform
+	}{
+		{"1+1", platform.Instance{task(0, 10, 1), task(1, 10, 2), task(2, 1, 5)}, platform.NewPlatform(1, 1)},
+		{"equal-estEnd-victims", platform.Instance{task(0, 10, 6), tie1, task(2, 10, 1)}, platform.NewPlatform(2, 1)},
 	}
-	pl := platform.NewPlatform(1, 1)
-	var rel []ReleasedTask
-	for _, tk := range in {
-		rel = append(rel, ReleasedTask{Task: tk})
-	}
-	online, err := ScheduleOnline(rel, pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline, err := ScheduleIndependent(in, pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(online.Makespan()-offline.Makespan()) > 1e-9 {
-		t.Errorf("online %v != offline %v with zero releases", online.Makespan(), offline.Makespan())
-	}
-	if err := online.Schedule.Validate(in, nil); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		var rel []ReleasedTask
+		for _, tk := range c.in {
+			rel = append(rel, ReleasedTask{Task: tk})
+		}
+		online, err := ScheduleOnline(rel, c.pl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline, err := ScheduleIndependent(c.in, c.pl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := online.Schedule.Validate(c.in, nil); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(online.Schedule.Entries, offline.Schedule.Entries) {
+			t.Errorf("%s: online schedule %+v != offline %+v with zero releases",
+				c.name, online.Schedule.Entries, offline.Schedule.Entries)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/workloads"
 )
@@ -14,7 +15,7 @@ import (
 func TestTheorem11WorstCaseFamily(t *testing.T) {
 	for _, m := range []int{2, 5, 10, 40} {
 		in, pl := workloads.Theorem11Instance(m, 4)
-		res, err := ScheduleIndependent(in, pl, Options{})
+		res, err := core.ScheduleIndependent(in, pl, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,8 +29,8 @@ func TestTheorem11WorstCaseFamily(t *testing.T) {
 	}
 	// The ratio approaches 1 + phi from below.
 	r40 := workloads.Theorem11ExpectedMakespan(40)
-	if r40 < 2.5 || r40 > 1+phi {
-		t.Errorf("m=40 ratio %v not in (2.5, 1+phi)", r40)
+	if r40 < 2.5 || r40 > 1+workloads.Phi {
+		t.Errorf("m=40 ratio %v not in (2.5, 1+workloads.Phi)", r40)
 	}
 }
 
@@ -66,7 +67,7 @@ func TestTheorem14BadListOrder(t *testing.T) {
 func TestTheorem14WorstCaseFamily(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		in, pl := workloads.Theorem14Instance(k, 2)
-		res, err := ScheduleIndependent(in, pl, Options{})
+		res, err := core.ScheduleIndependent(in, pl, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestTheorem14OptimalWitness(t *testing.T) {
 	// The certified ratio (HeteroPrio makespan over witness makespan) must
 	// already be deep in worst-case territory, well above 2+sqrt(2)'s
 	// little sibling bounds for the (m,1) case.
-	res, err := ScheduleIndependent(in, pl, Options{})
+	res, err := core.ScheduleIndependent(in, pl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

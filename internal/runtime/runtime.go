@@ -19,7 +19,7 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cancel"
@@ -173,21 +173,21 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 		}
 	}()
 
-	// Coordinator state.
+	// Coordinator state. running[w] is worker w's active run (nil when
+	// none); its sim.Running carries the estimated completion, in seconds
+	// since the epoch, that the spoliation rule compares.
 	rt := dag.NewReadyTracker(g.d)
 	queue := core.NewQueue(cfg.UsePriorities)
 	type runInfo struct {
-		id     int
-		flag   *cancel.Flag
-		estEnd time.Duration // estimated completion (for spoliation)
-		spol   bool          // this run was started by a spoliation
+		run  sim.Running
+		flag *cancel.Flag
 	}
-	running := make(map[int]*runInfo) // worker -> run
-	prepared := make(map[int]bool)
-	idle := map[int]bool{}
-	for w := 0; w < pl.Workers(); w++ {
+	running := make([]*runInfo, pl.Workers())
+	idle := make([]bool, pl.Workers())
+	for w := range idle {
 		idle[w] = true
 	}
+	prepared := make([]bool, g.Len())
 	trace := &sim.Schedule{Platform: pl}
 	spoliations := 0
 
@@ -206,16 +206,19 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 			t.Reset()
 		}
 		flag := &cancel.Flag{}
-		est := g.d.Task(id).Time(pl.KindOf(w))
+		task, kind := g.d.Task(id), pl.KindOf(w)
 		now := clk.Since(epoch)
+		estEnd := now + time.Duration(task.Time(kind)*float64(time.Second))
 		running[w] = &runInfo{
-			id: id, flag: flag,
-			estEnd: now + time.Duration(est*float64(time.Second)),
-			spol:   spol,
+			run: sim.Running{
+				Worker: w, Task: task, Start: now.Seconds(),
+				EstEnd: estEnd.Seconds(), Spoliation: spol,
+			},
+			flag: flag,
 		}
-		delete(idle, w)
+		idle[w] = false
 		if o := cfg.Observer; o != nil {
-			o.TaskStarted(ms(now), w, pl.KindOf(w), g.d.Task(id), ms(running[w].estEnd), spol)
+			o.TaskStarted(ms(now), w, kind, task, ms(estEnd), spol)
 		}
 		jobs[w] <- job{id: id, t: t, flag: flag}
 	}
@@ -223,46 +226,31 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 	// reservedBy maps a victim worker to the worker waiting to restart
 	// its task after the cooperative abort.
 	reservedBy := make(map[int]int) // victim worker -> spoliating worker
+	victims := make([]sim.Running, 0, pl.Workers())
 
+	// trySpoliate applies the simulator's spoliation rule (core.Victim) to
+	// the runs on the other class that are not already being spoliated.
+	// The improvement must exceed one nanosecond, the clock's resolution.
 	trySpoliate := func(w int) bool {
 		if cfg.DisableSpoliation {
 			return false
 		}
 		kind := pl.KindOf(w)
-		now := clk.Since(epoch)
-		// Victims: running tasks on the other class, not already being
-		// spoliated, in decreasing estimated completion time.
-		type victim struct {
-			worker int
-			info   *runInfo
-		}
-		var victims []victim
+		victims = victims[:0]
 		for vw, info := range running {
-			if pl.KindOf(vw) == kind {
-				continue
-			}
-			if _, taken := reservedBy[vw]; taken {
-				continue
-			}
-			victims = append(victims, victim{vw, info})
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].info.estEnd != victims[j].info.estEnd {
-				return victims[i].info.estEnd > victims[j].info.estEnd
-			}
-			return victims[i].info.id < victims[j].info.id
-		})
-		for _, v := range victims {
-			est := g.d.Task(v.info.id).Time(kind)
-			newEnd := now + time.Duration(est*float64(time.Second))
-			if newEnd < v.info.estEnd {
-				v.info.flag.Cancel()
-				reservedBy[v.worker] = w
-				delete(idle, w)
-				return true
+			if _, taken := reservedBy[vw]; info != nil && !taken && pl.KindOf(vw) != kind {
+				victims = append(victims, info.run)
 			}
 		}
-		return false
+		i := core.Victim(victims, kind, clk.Since(epoch).Seconds(), 1e-9)
+		if i < 0 {
+			return false
+		}
+		vw := victims[i].Worker
+		running[vw].flag.Cancel()
+		reservedBy[vw] = w
+		idle[w] = false
+		return true
 	}
 
 	assign := func() {
@@ -270,14 +258,12 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 			progress := false
 			for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
 				for _, w := range pl.WorkersOf(kind) {
-					if !idle[w] || queue.Len() == 0 {
+					if !idle[w] {
 						continue
 					}
-					var t platform.Task
-					if kind == platform.GPU {
-						t = queue.PopFront()
-					} else {
-						t = queue.PopBack()
+					t, ok := queue.Pick(w, kind)
+					if !ok {
+						break
 					}
 					dispatch(w, t.ID, false)
 					progress = true
@@ -310,12 +296,12 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 	}
 
 	for !rt.Done() {
-		if len(running) == 0 {
+		if !slices.ContainsFunc(running, func(r *runInfo) bool { return r != nil }) {
 			return nil, fmt.Errorf("runtime: stalled with %d tasks remaining", rt.Remaining())
 		}
 		c := <-done
 		info := running[c.worker]
-		delete(running, c.worker)
+		running[c.worker] = nil
 		idle[c.worker] = true
 		if c.err != nil {
 			return nil, fmt.Errorf("runtime: task %d (%s): %w", c.id, g.tasks[c.id].Name, c.err)
@@ -324,7 +310,7 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 		entry := sim.Entry{
 			TaskID: c.id, Worker: c.worker, Kind: kind,
 			Start: c.start.Seconds(), End: c.end.Seconds(),
-			Spoliation: info.spol,
+			Spoliation: info.run.Spoliation,
 		}
 		if c.completed {
 			rt.Complete(c.id)

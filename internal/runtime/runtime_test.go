@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	goruntime "runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -394,5 +396,66 @@ func TestRunObserver(t *testing.T) {
 	// The timeline bridge sees the same runs the trace records.
 	if tl.Len() == 0 {
 		t.Fatal("timeline observed no events")
+	}
+}
+
+// TestRunEqualEstEndVictimTieBreak: two CPU runs with the same estimated
+// completion are both worth spoliating when the GPU frees up; the
+// executor must pick the higher-priority one, exactly as the simulator's
+// victim order does (core.Victim). On a frozen manual clock the platform
+// is 2 CPUs + 1 GPU: tasks a (p=10, q=6) and b (p=10, q=6, plus a
+// successor that lifts its bottom-level priority) start on the CPUs at
+// t=0, and c (p=10, q=1) on the GPU finishes at t=1, when 1+6 < 10 makes
+// both CPU runs victims. b must be aborted first; a follows once the GPU
+// is free again.
+func TestRunEqualEstEndVictimTieBreak(t *testing.T) {
+	clk := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	started := make(chan struct{}, 2)
+	// cpuTask runs instantly on the GPU and, on a CPU, signals its start
+	// and then only ends by being spoliated.
+	cpuTask := func(name string) Task {
+		return Task{
+			Name: name, EstCPU: 10, EstGPU: 6,
+			Run: func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				if kind == platform.GPU {
+					return true, nil
+				}
+				started <- struct{}{}
+				for !flag.Cancelled() {
+					goruntime.Gosched()
+				}
+				return false, nil
+			},
+		}
+	}
+	g := NewGraph()
+	a := g.Add(cpuTask("a"))
+	b := g.Add(cpuTask("b"))
+	g.Add(Task{
+		Name: "c", EstCPU: 10, EstGPU: 1,
+		Run: func(platform.Kind, *cancel.Flag) (bool, error) {
+			<-started
+			<-started
+			clk.Advance(time.Second)
+			return true, nil
+		},
+	})
+	succ := g.Add(Task{
+		Name: "b-succ", EstCPU: 1, EstGPU: 1,
+		Run: func(platform.Kind, *cancel.Flag) (bool, error) { return true, nil },
+	})
+	g.AddDep(b, succ)
+	rep, err := Run(g, Config{CPUWorkers: 2, GPUWorkers: 1, UsePriorities: true, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aborted []int
+	for _, e := range rep.Trace.Entries {
+		if e.Aborted {
+			aborted = append(aborted, e.TaskID)
+		}
+	}
+	if want := []int{b, a}; !slices.Equal(aborted, want) {
+		t.Errorf("aborted tasks in order %v, want %v (higher priority first among equal estimated ends)", aborted, want)
 	}
 }

@@ -1,8 +1,7 @@
 package sched
 
 import (
-	"errors"
-
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -24,90 +23,47 @@ import (
 // a kernel-name match before settling for the endmost task.
 const affinityWindow = 4
 
-// affinityTake removes and returns the task worker w should run from its
-// class's end of the deque, honoring the affinity window.
-func affinityTake(dq *accelDeque, kind platform.Kind, lastName string) platform.Task {
-	limit := affinityWindow
-	if dq.len() < limit {
-		limit = dq.len()
-	}
+// take removes and returns the task a worker of class kind takes from its
+// end of the deque: within affinityWindow tasks of that end, the first
+// whose kernel name is lastName, else the endmost task. An empty lastName
+// (CLB2C, or a worker's first task) takes the endmost task.
+func (d *accelDeque) take(kind platform.Kind, lastName string) platform.Task {
 	if lastName != "" {
-		for off := 0; off < limit; off++ {
+		for off := 0; off < affinityWindow && off < d.len(); off++ {
 			i := off
 			if kind == platform.CPU {
-				i = dq.len() - 1 - off
+				i = d.len() - 1 - off
 			}
-			if dq.tasks[i].Name == lastName {
-				t := dq.tasks[i]
-				dq.tasks = append(dq.tasks[:i], dq.tasks[i+1:]...)
+			if t := d.tasks[i]; t.Name == lastName {
+				copy(d.tasks[i:], d.tasks[i+1:])
+				d.tasks = d.tasks[:d.len()-1]
 				return t
 			}
 		}
 	}
 	if kind == platform.GPU {
-		return dq.popFront()
+		return d.popFront()
 	}
-	return dq.popBack()
+	return d.popBack()
+}
+
+// affinity returns the Affinity policy for pl: a dequePolicy remembering
+// each worker's last kernel name. A negative worker count sizes it empty;
+// core.Drive rejects that platform before the first pick.
+func affinity(pl platform.Platform) *dequePolicy {
+	return &dequePolicy{last: make([]string, max(pl.Workers(), 0))}
 }
 
 // AffinityIndependent schedules an independent instance with the affinity
 // heuristic, simulating the workers' race for the deque: whenever a worker
-// idles it takes its next task per affinityTake, so which worker gets
+// idles it takes its next task per accelDeque.take, so which worker gets
 // which task depends on completion order exactly as in the runtime.
 func AffinityIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	sorted := in.Clone()
-	sorted.SortByAccelDesc()
-	dq := accelDeque{tasks: sorted}
-	k := sim.NewKernel(pl)
-	last := make([]string, pl.Workers())
-	assign := func() {
-		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkers(kind) {
-				if dq.empty() {
-					return
-				}
-				t := affinityTake(&dq, kind, last[w])
-				last[w] = t.Name
-				k.Start(w, t, false)
-			}
-		}
-	}
-	assign()
-	for {
-		if _, ok := k.CompleteNext(); !ok {
-			break
-		}
-		assign()
-	}
-	if !dq.empty() {
-		return nil, errors.New("sched: affinity deque not drained")
-	}
-	return k.Schedule(), nil
+	return drive(core.Arrivals{Tasks: in}, pl, affinity(pl))
 }
 
 // AffinityDAG schedules a task graph with the online affinity heuristic:
 // the deque holds the ready tasks, refilled as predecessors complete.
 func AffinityDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
-	var dq accelDeque
-	last := make([]string, pl.Workers())
-	admit := func(ids []int) {
-		for _, id := range ids {
-			dq.insert(g.Task(id))
-		}
-	}
-	pick := func(w int, kind platform.Kind) (platform.Task, bool) {
-		if dq.empty() {
-			return platform.Task{}, false
-		}
-		t := affinityTake(&dq, kind, last[w])
-		last[w] = t.Name
-		return t, true
-	}
-	return runOnlineList(g, pl, admit, pick)
+	return drive(core.Arrivals{Graph: g}, pl, affinity(pl))
 }

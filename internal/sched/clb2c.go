@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -59,28 +60,13 @@ func CLB2CIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule
 // least-accelerated one (the completion-time comparison of the offline
 // rule degenerates online, since only idle workers ask for work).
 func CLB2CDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
-	var dq accelDeque
-	admit := func(ids []int) {
-		for _, id := range ids {
-			dq.insert(g.Task(id))
-		}
-	}
-	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
-		if dq.empty() {
-			return platform.Task{}, false
-		}
-		if kind == platform.GPU {
-			return dq.popFront(), true
-		}
-		return dq.popBack(), true
-	}
-	return runOnlineList(g, pl, admit, pick)
+	return drive(core.Arrivals{Graph: g}, pl, &dequePolicy{})
 }
 
 // accelDeque is a deque of tasks kept sorted by non-increasing
 // acceleration factor (ties by increasing task ID, so insertion order
 // never matters). GPU-side consumers pop the front, CPU-side consumers
-// the back. It is shared by CLB2C's and Affinity's DAG variants.
+// the back. It backs dequePolicy, the online policy of CLB2C and Affinity.
 type accelDeque struct {
 	tasks []platform.Task
 }
@@ -100,7 +86,7 @@ func (d *accelDeque) insert(t platform.Task) {
 		}
 		i--
 	}
-	d.tasks = append(d.tasks, platform.Task{})
+	d.tasks = append(d.tasks, platform.Task{}) //hplint:allow allocflow amortized deque growth, bounded by the live ready-task count
 	copy(d.tasks[i+1:], d.tasks[i:])
 	d.tasks[i] = t
 }

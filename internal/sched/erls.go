@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -55,19 +56,11 @@ func ERLSIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule,
 // list schedule (assign priorities first, e.g. with
 // AssignBottomLevelPriorities; zero priorities degrade to ready order).
 func ERLSDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
-	var queues [platform.NumKinds]classQueue
-	seq := 0
-	admit := func(ids []int) {
-		for _, id := range ids {
-			t := g.Task(id)
-			queues[ERLSKind(t, pl)].add(t, seq)
-			seq++
-		}
+	kinds := make([]platform.Kind, g.Len())
+	for id := range kinds {
+		kinds[id] = ERLSKind(g.Task(id), pl)
 	}
-	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
-		return queues[kind].pop()
-	}
-	return runOnlineList(g, pl, admit, pick)
+	return drive(core.Arrivals{Graph: g}, pl, classList(kinds))
 }
 
 // ERLSDAGWithPriorities assigns bottom-level priorities under the given

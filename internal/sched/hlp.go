@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/lp"
 	"repro/internal/platform"
@@ -218,18 +219,7 @@ func HLPDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	var queues [platform.NumKinds]classQueue
-	seq := 0
-	admit := func(ids []int) {
-		for _, id := range ids {
-			queues[kinds[id]].add(g.Task(id), seq)
-			seq++
-		}
-	}
-	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
-		return queues[kind].pop()
-	}
-	return runOnlineList(g, pl, admit, pick)
+	return drive(core.Arrivals{Graph: g}, pl, classList(kinds))
 }
 
 // HLPDAGWithPriorities assigns bottom-level priorities under the given

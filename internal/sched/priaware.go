@@ -2,6 +2,7 @@ package sched
 
 import (
 	"repro/internal/bounds"
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -74,52 +75,17 @@ func PriorityAwareDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error)
 	if err != nil {
 		return nil, err
 	}
-	// eligible reports whether a ready task may run on class kind: pinned
-	// tasks only on their class, split tasks on either (single-class
-	// platforms take everything).
-	eligible := func(t platform.Task, kind platform.Kind) bool {
-		if pl.Count(kind.Other()) == 0 {
-			return true
-		}
-		f := sol.CPUFraction[t.ID]
-		if kind == platform.CPU {
-			return f > priAwareEps
-		}
-		return f < 1-priAwareEps
-	}
-	var pending []zooTaskEntry
-	seq := 0
-	admit := func(ids []int) {
-		for _, id := range ids {
-			pending = append(pending, zooTaskEntry{g.Task(id), seq})
-			seq++
+	// Pinned tasks may run only on their class, split tasks on either
+	// (single-class platforms take everything).
+	pol := &priorityList{allowed: make([][platform.NumKinds]bool, g.Len())}
+	for id := range pol.allowed {
+		f := sol.CPUFraction[id]
+		pol.allowed[id] = [platform.NumKinds]bool{
+			platform.CPU: pl.GPUs == 0 || f > priAwareEps,
+			platform.GPU: pl.CPUs == 0 || f < 1-priAwareEps,
 		}
 	}
-	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
-		best := -1
-		for i, p := range pending {
-			if !eligible(p.t, kind) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := pending[best]
-			if p.t.Priority > b.t.Priority ||
-				//hplint:allow floateq priorities are copied inputs; == only routes equal-priority pairs to the stable seq tie-break
-				(p.t.Priority == b.t.Priority && p.seq < b.seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return platform.Task{}, false
-		}
-		t := pending[best].t
-		pending = append(pending[:best], pending[best+1:]...)
-		return t, true
-	}
-	return runOnlineList(g, pl, admit, pick)
+	return drive(core.Arrivals{Graph: g}, pl, pol)
 }
 
 // PriorityAwareDAGWithPriorities assigns bottom-level priorities under the

@@ -4,16 +4,15 @@ package sched
 // schedulers (ER-LS, HLP, CLB2C, PriorityAware, Affinity) all decompose
 // into "pick a class for the next task, put it on the least-loaded worker
 // of that class" (independent instances) or "hand each idle worker the
-// next task its class's queue offers" (DAG instances). The helpers below
-// factor those two skeletons out so each algorithm file only contains its
-// allocation rule and queue discipline, and all of them inherit the same
-// deterministic tie-breaking (worker index via loadHeap, task arrival
-// sequence via classQueue).
+// next task its class's queue offers" (DAG instances). The first skeleton
+// is classPlacer; the second is a core.Policy (priorityList or
+// dequePolicy) run by core's event loop, so each algorithm file only
+// contains its allocation rule and queue discipline, and all of them
+// inherit the same deterministic tie-breaking (worker index via loadHeap,
+// task arrival order in the policies).
 
 import (
-	"fmt"
-
-	"repro/internal/dag"
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -66,85 +65,77 @@ func (cp *classPlacer) place(t platform.Task, k platform.Kind) {
 // schedule returns the accumulated schedule.
 func (cp *classPlacer) schedule() *sim.Schedule { return cp.s }
 
-// zooTaskEntry is one pending task in a classQueue, tagged with its
-// arrival sequence number for deterministic tie-breaking.
-type zooTaskEntry struct {
-	t   platform.Task
-	seq int
+// drive runs pol through core's list-scheduling event loop (the one
+// HeteroPrio uses), with spoliation off: none of the zoo's online
+// policies spoliates.
+func drive(src core.Arrivals, pl platform.Platform, pol core.Policy) (*sim.Schedule, error) {
+	res, err := core.Drive(src, pl, pol, core.Options{DisableSpoliation: true})
+	return res.Schedule, err
 }
 
-// classQueue is a pending pool picking tasks by decreasing priority, with
-// arrival order breaking ties — the queue discipline shared by the zoo's
-// priority-list DAG schedulers.
-type classQueue struct {
-	pending []zooTaskEntry
+// priorityList is the online policy of ER-LS, HLP and PriorityAware: an
+// allocation rule fixes up front the classes each task may run on, and
+// an idle worker takes the highest-priority admitted task allowed on its
+// class, earliest arrival on ties.
+type priorityList struct {
+	allowed [][platform.NumKinds]bool // by task ID
+	pending []platform.Task           // in arrival order
 }
 
-func (q *classQueue) add(t platform.Task, seq int) {
-	q.pending = append(q.pending, zooTaskEntry{t, seq})
+// classList is the priorityList of a rule that pins each task to one
+// class: kinds[id] is task id's class.
+func classList(kinds []platform.Kind) *priorityList {
+	p := &priorityList{allowed: make([][platform.NumKinds]bool, len(kinds))}
+	for id, k := range kinds {
+		p.allowed[id][k] = true
+	}
+	return p
 }
 
-func (q *classQueue) empty() bool { return len(q.pending) == 0 }
+func (p *priorityList) Push(t platform.Task) {
+	p.pending = append(p.pending, t) //hplint:allow allocflow amortized ready-list growth, bounded by the live ready-task count
+}
 
-// pop removes and returns the highest-priority pending task (earliest
-// arrival on ties); ok is false when the queue is empty.
-func (q *classQueue) pop() (platform.Task, bool) {
+func (p *priorityList) Len() int { return len(p.pending) }
+
+func (p *priorityList) Pick(_ int, kind platform.Kind) (platform.Task, bool) {
 	best := -1
-	for i, p := range q.pending {
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := q.pending[best]
-		if p.t.Priority > b.t.Priority ||
-			//hplint:allow floateq priorities are copied inputs; == only routes equal-priority pairs to the stable seq tie-break
-			(p.t.Priority == b.t.Priority && p.seq < b.seq) {
+	for i, t := range p.pending {
+		if p.allowed[t.ID][kind] && (best < 0 || t.Priority > p.pending[best].Priority) {
 			best = i
 		}
 	}
 	if best < 0 {
 		return platform.Task{}, false
 	}
-	t := q.pending[best].t
-	q.pending = append(q.pending[:best], q.pending[best+1:]...)
+	t := p.pending[best]
+	copy(p.pending[best:], p.pending[best+1:])
+	p.pending = p.pending[:len(p.pending)-1]
 	return t, true
 }
 
-// runOnlineList drives the shared online list-scheduling event loop: admit
-// receives the IDs of tasks that just became ready, pick hands idle worker
-// w of class kind its next task (ok=false when nothing is available for
-// that class). GPUs are served before CPUs at each decision point, like
-// every other event loop in this package.
-func runOnlineList(g *dag.Graph, pl platform.Platform,
-	admit func(ids []int), pick func(w int, kind platform.Kind) (platform.Task, bool)) (*sim.Schedule, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
+// dequePolicy is the dual-ended online policy of CLB2C and Affinity:
+// admitted tasks sit in an accelDeque, an idle GPU takes from the
+// most-accelerated end and an idle CPU from the least-accelerated one.
+// With last set (Affinity) a worker first looks for the kernel name it
+// ran last (accelDeque.take).
+type dequePolicy struct {
+	dq   accelDeque
+	last []string // by worker; nil turns the affinity window off
+}
+
+func (p *dequePolicy) Push(t platform.Task) { p.dq.insert(t) }
+
+func (p *dequePolicy) Len() int { return p.dq.len() }
+
+func (p *dequePolicy) Pick(w int, kind platform.Kind) (platform.Task, bool) {
+	if p.dq.empty() {
+		return platform.Task{}, false
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	if p.last == nil {
+		return p.dq.take(kind, ""), true
 	}
-	k := sim.NewKernel(pl)
-	rt := dag.NewReadyTracker(g)
-	admit(rt.Drain())
-	for {
-		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkers(kind) {
-				t, ok := pick(w, kind)
-				if !ok {
-					break
-				}
-				k.Start(w, t, false)
-			}
-		}
-		run, ok := k.CompleteNext()
-		if !ok {
-			break
-		}
-		rt.Complete(run.Task.ID)
-		admit(rt.Drain())
-	}
-	if !rt.Done() {
-		return nil, fmt.Errorf("sched: online list scheduler finished with %d tasks remaining", rt.Remaining())
-	}
-	return k.Schedule(), nil
+	t := p.dq.take(kind, p.last[w])
+	p.last[w] = t.Name
+	return t, true
 }
